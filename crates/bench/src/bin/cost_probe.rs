@@ -3,9 +3,9 @@
 //! two dominant-max stores, at a grid of (batch, tails) points.
 //!
 //! This is the measurement tool behind `plis_engine::cost` — run it on a
-//! new machine to sanity-check the calibrated constants (`PLIS_COST_*`
-//! env overrides) against reality.  Human-readable output on stderr, one
-//! JSON line per cell on stdout (`bench: "cost-probe"`).
+//! new machine to sanity-check the calibrated constants against reality.
+//! Human-readable output on stderr, one JSON line per cell on stdout
+//! (`bench: "cost-probe"`).
 
 use plis_bench::{json_line, time_min, with_bench_threads};
 use plis_engine::{Backend, StreamingLis, WeightedStreamingLis};

@@ -31,9 +31,7 @@
 //! sweep, default `0.25`; `0` alone skips it), and
 //! `PLIS_BENCH_PATH_POLICY` (comma-separated ingest path policies for the
 //! unweighted and weighted sweeps — `cost` or `fixed:N`, default `cost`;
-//! recorded as the `path_policy` field).  The calibration knobs the cost
-//! policy itself reads (`PLIS_COST_*`) pass straight through to the
-//! engine.
+//! recorded as the `path_policy` field).
 
 use plis_bench::{
     bench_repeats, effective_threads, env_f64_list, env_usize_list, json_line, time_min,
@@ -125,7 +123,6 @@ fn replay(config: &EngineConfig, setup: &Tick, ticks: &[Tick]) -> Engine {
 }
 
 /// The telemetry columns shared by every sweep's JSON line (schema 3).
-/// All-zero when the engine was built with `--no-default-features`.
 fn telemetry_fields(snap: &MetricsSnapshot) -> Vec<(&'static str, JsonValue)> {
     vec![
         ("tick_p50_us", (snap.tick_latency.p50() as f64 / 1_000.0).into()),
@@ -190,12 +187,8 @@ fn persistence_fields(
 }
 
 /// Cross-check the telemetry counters against the ground truth the sweep
-/// already knows.  Gated on `snap.ticks != 0` so a telemetry-off engine
-/// build (all-zero snapshot) still benches cleanly.
+/// already knows.
 fn reconcile(snap: &MetricsSnapshot, executed_ticks: usize, total_elems: usize) {
-    if snap.ticks == 0 {
-        return;
-    }
     assert_eq!(
         snap.ticks as usize,
         executed_ticks + 1, // the creation tick plus the traffic ticks

@@ -37,11 +37,6 @@
 //! paths and produces identical [`crate::IngestReport`]s.  Calibration can
 //! differ *between* processes (it is a timing measurement); both paths are
 //! exact, so only timing, never outcomes, depends on the decision.
-//!
-//! Env knobs (read once, at first use): `PLIS_COST_CALIBRATE=off` skips
-//! the measurement and uses baked-in defaults; `PLIS_COST_SEQ_NS`,
-//! `PLIS_COST_PAR_NS`, `PLIS_COST_PAR_FIXED_NS` (and the `PLIS_COST_W*`
-//! variants for weighted sessions) pin individual constants.
 
 use crate::session::IngestPath;
 use plis_lis::TailRoute;
@@ -62,17 +57,6 @@ pub struct CostModel {
     pub par_fixed_ns: f64,
 }
 
-/// Baked-in fallback for unweighted sessions (used when calibration is
-/// disabled): measured on a 1-core container, where the merge path never
-/// wins — `par_ns > seq_ns` makes [`CostModel::choose`] always sequential.
-pub const DEFAULT_UNWEIGHTED: CostModel =
-    CostModel { seq_ns: 14.0, par_ns: 30.0, par_fixed_ns: 2_000.0 };
-
-/// Baked-in fallback for weighted sessions: the merge path additionally
-/// rebuilds a dominant-max store per call, so its constant is far larger.
-pub const DEFAULT_WEIGHTED: CostModel =
-    CostModel { seq_ns: 14.0, par_ns: 250.0, par_fixed_ns: 20_000.0 };
-
 fn log2p2(n: usize) -> f64 {
     ((n + 2) as f64).log2()
 }
@@ -86,19 +70,9 @@ fn log2p2(n: usize) -> f64 {
 const MIRROR_SLACK: f64 = 0.10;
 
 /// Amortised nanoseconds per vEB delta element per `log2` of the universe
-/// bit width (`PLIS_COST_VEB_DELTA_NS` pins it; read once).  Not measured
-/// by calibration: unlike the path constants it only scales a single term
-/// against the already-calibrated merge cost.
-fn veb_delta_ns() -> f64 {
-    static NS: OnceLock<f64> = OnceLock::new();
-    *NS.get_or_init(|| {
-        std::env::var("PLIS_COST_VEB_DELTA_NS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|v: &f64| v.is_finite() && *v > 0.0)
-            .unwrap_or(64.0)
-    })
-}
+/// bit width.  Not measured by calibration: unlike the path constants it
+/// only scales a single term against the already-calibrated merge cost.
+const VEB_DELTA_NS: f64 = 64.0;
 
 impl CostModel {
     /// Predicted nanoseconds for the sequential path on a `batch`-element
@@ -138,7 +112,7 @@ impl CostModel {
     pub fn tail_route(&self, universe: u64, tails: usize, batch: usize) -> TailRoute {
         let delta = (tails.min(batch) + 1) as f64;
         let bits = 64 - universe.saturating_sub(1).leading_zeros() as usize;
-        let mirror_ns = delta * veb_delta_ns() * log2p2(bits);
+        let mirror_ns = delta * VEB_DELTA_NS * log2p2(bits);
         if mirror_ns <= MIRROR_SLACK * self.par_cost_ns(batch, tails) {
             TailRoute::Veb
         } else {
@@ -249,52 +223,14 @@ pub mod calibration {
     /// The calibrated unweighted model (memoised per process).
     pub fn unweighted() -> &'static CostModel {
         static MODEL: OnceLock<CostModel> = OnceLock::new();
-        MODEL.get_or_init(|| {
-            resolve("PLIS_COST_SEQ_NS", "PLIS_COST_PAR_NS", "PLIS_COST_PAR_FIXED_NS", || {
-                measure_unweighted()
-            })
-            .unwrap_or(DEFAULT_UNWEIGHTED)
-        })
+        MODEL.get_or_init(measure_unweighted)
     }
 
     /// The calibrated weighted model (memoised per process, lazily — an
     /// unweighted-only workload never pays the weighted probe).
     pub fn weighted() -> &'static CostModel {
         static MODEL: OnceLock<CostModel> = OnceLock::new();
-        MODEL.get_or_init(|| {
-            resolve("PLIS_COST_WSEQ_NS", "PLIS_COST_WPAR_NS", "PLIS_COST_WPAR_FIXED_NS", || {
-                measure_weighted()
-            })
-            .unwrap_or(DEFAULT_WEIGHTED)
-        })
-    }
-
-    fn env_f64(key: &str) -> Option<f64> {
-        std::env::var(key).ok().and_then(|s| s.parse().ok()).filter(|v: &f64| v.is_finite())
-    }
-
-    fn calibration_off() -> bool {
-        matches!(std::env::var("PLIS_COST_CALIBRATE").as_deref(), Ok("off") | Ok("0") | Ok("false"))
-    }
-
-    /// Measurement, with every constant individually overridable from the
-    /// environment; `None` means "use the baked default".
-    fn resolve(
-        seq_key: &str,
-        par_key: &str,
-        fixed_key: &str,
-        measure: impl FnOnce() -> CostModel,
-    ) -> Option<CostModel> {
-        let mut model = if calibration_off() { None } else { Some(measure()) };
-        if let (Some(seq), Some(par)) = (env_f64(seq_key), env_f64(par_key)) {
-            let base = model.unwrap_or(DEFAULT_UNWEIGHTED);
-            model = Some(CostModel { seq_ns: seq, par_ns: par, ..base });
-        }
-        if let Some(fixed) = env_f64(fixed_key) {
-            let base = model.unwrap_or(DEFAULT_UNWEIGHTED);
-            model = Some(CostModel { par_fixed_ns: fixed, ..base });
-        }
-        model
+        MODEL.get_or_init(measure_weighted)
     }
 
     /// Deterministic synthetic stream with a mildly increasing bias, so
@@ -453,7 +389,7 @@ mod tests {
 
     #[test]
     fn tail_route_tracks_delta_versus_merge_work() {
-        let m = DEFAULT_UNWEIGHTED;
+        let m = CostModel { seq_ns: 14.0, par_ns: 30.0, par_fixed_ns: 2_000.0 };
         let universe = 1u64 << 32;
         // Small batch against comparable tails: the delta is as large as
         // the batch itself, the mirror costs more than its slack — drop it.

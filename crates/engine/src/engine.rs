@@ -111,43 +111,6 @@ pub enum SessionKind {
     Weighted,
 }
 
-/// One batch of values, plain or weighted — the payload shape shared by
-/// [`Op::Append`] / [`Op::AppendWeighted`] and the legacy mixed ticks.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TickBatch {
-    /// Unweighted values.
-    Plain(Vec<u64>),
-    /// `(value, weight)` pairs.
-    Weighted(Vec<(u64, u64)>),
-}
-
-impl TickBatch {
-    /// Number of elements in the batch.
-    pub fn len(&self) -> usize {
-        match self {
-            TickBatch::Plain(b) => b.len(),
-            TickBatch::Weighted(b) => b.len(),
-        }
-    }
-
-    /// True when the batch holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl From<Vec<u64>> for TickBatch {
-    fn from(b: Vec<u64>) -> Self {
-        TickBatch::Plain(b)
-    }
-}
-
-impl From<Vec<(u64, u64)>> for TickBatch {
-    fn from(b: Vec<(u64, u64)>) -> Self {
-        TickBatch::Weighted(b)
-    }
-}
-
 /// Borrowed view of one append batch (what the shard workers consume).
 #[derive(Debug, Clone, Copy)]
 enum BatchRef<'a> {
@@ -593,8 +556,8 @@ impl Shard {
 pub struct Engine {
     config: EngineConfig,
     shards: Vec<Shard>,
-    /// The telemetry registry (a no-op ZST without the `telemetry`
-    /// feature).  Purely observational — see [`crate::metrics`].
+    /// The telemetry registry.  Purely observational — see
+    /// [`crate::metrics`].
     metrics: Metrics,
     /// Allocation-meter baseline captured at construction, so snapshots
     /// report allocations attributable to this engine's lifetime.  Stays
@@ -602,7 +565,6 @@ pub struct Engine {
     /// counting global allocator (`plis-testalloc`).
     alloc_base: plis_telemetry::AllocTally,
     /// Optional JSON-lines trace sink: one event per executed tick.
-    #[cfg(feature = "telemetry")]
     trace: Option<plis_telemetry::TraceSink>,
 }
 
@@ -616,7 +578,6 @@ impl Engine {
             shards,
             metrics: Metrics::new(),
             alloc_base: plis_telemetry::alloc_tally(),
-            #[cfg(feature = "telemetry")]
             trace: None,
         }
     }
@@ -632,8 +593,7 @@ impl Engine {
     }
 
     /// The engine's telemetry registry — use it to toggle recording at
-    /// runtime ([`Metrics::set_enabled`]).  A no-op handle when the
-    /// `telemetry` feature is off.
+    /// runtime ([`Metrics::set_enabled`]).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -641,40 +601,30 @@ impl Engine {
     /// A point-in-time copy of the whole telemetry plane: the cumulative
     /// counters and latency histograms, plus live-session and per-shard
     /// memory accounting computed by walking the shards now (`O(sessions)`
-    /// plus the store walks — snapshot-time cost, never per-op).  All-zero
-    /// when the `telemetry` feature is off (session accounting included,
-    /// so a feature-off build is observably inert).
+    /// plus the store walks — snapshot-time cost, never per-op).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.counters_snapshot();
-        if cfg!(feature = "telemetry") {
-            snap.sessions = self.session_count() as u64;
-            snap.shard_bytes = self.shards.iter().map(|s| s.approx_bytes() as u64).collect();
-            snap.session_bytes = snap.shard_bytes.iter().sum();
-            let allocs = plis_telemetry::alloc_tally().since(self.alloc_base);
-            snap.alloc_count = allocs.allocs;
-            snap.allocs_per_elem = allocs.allocs.checked_div(snap.elems_ingested).unwrap_or(0);
-            snap.arena_bytes = self
-                .shards
-                .iter()
-                .flat_map(|s| s.sessions.values())
-                .map(|s| s.arena_bytes() as u64)
-                .sum();
-        }
+        snap.sessions = self.session_count() as u64;
+        snap.shard_bytes = self.shards.iter().map(|s| s.approx_bytes() as u64).collect();
+        snap.session_bytes = snap.shard_bytes.iter().sum();
+        let allocs = plis_telemetry::alloc_tally().since(self.alloc_base);
+        snap.alloc_count = allocs.allocs;
+        snap.allocs_per_elem = allocs.allocs.checked_div(snap.elems_ingested).unwrap_or(0);
+        snap.arena_bytes = self
+            .shards
+            .iter()
+            .flat_map(|s| s.sessions.values())
+            .map(|s| s.arena_bytes() as u64)
+            .sum();
         snap
     }
 
     /// Install (or clear) a JSON-lines trace sink: after every
     /// [`Engine::execute`] / [`Engine::execute_read`] the engine emits one
     /// event with the tick's latency, op counts, and ingest-path digest.
-    /// Emission follows the runtime [`Metrics::set_enabled`] toggle.  A
-    /// no-op when the `telemetry` feature is off.
+    /// Emission follows the runtime [`Metrics::set_enabled`] toggle.
     pub fn set_trace_sink(&mut self, sink: Option<plis_telemetry::TraceSink>) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.trace = sink;
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = sink;
+        self.trace = sink;
     }
 
     fn shard_index(&self, id: &str) -> usize {
@@ -917,8 +867,7 @@ impl Engine {
     }
 
     /// Emit one trace event for an executed write tick (no-op without a
-    /// sink, with recording disabled, or without the `telemetry` feature).
-    #[cfg(feature = "telemetry")]
+    /// sink or with recording disabled).
     fn trace_tick(&self, outcome: &TickOutcome, digest: TickDigest) {
         use plis_telemetry::JsonValue;
         let Some(trace) = &self.trace else { return };
@@ -940,12 +889,8 @@ impl Engine {
         ]);
     }
 
-    #[cfg(not(feature = "telemetry"))]
-    fn trace_tick(&self, _outcome: &TickOutcome, _digest: TickDigest) {}
-
     /// Emit one trace event for an executed read tick (same gating as
     /// [`Engine::trace_tick`]).
-    #[cfg(feature = "telemetry")]
     fn trace_read(&self, outcome: &ReadOutcome) {
         use plis_telemetry::JsonValue;
         let Some(trace) = &self.trace else { return };
@@ -961,9 +906,6 @@ impl Engine {
             ("worker_threads", JsonValue::from(outcome.worker_threads)),
         ]);
     }
-
-    #[cfg(not(feature = "telemetry"))]
-    fn trace_read(&self, _outcome: &ReadOutcome) {}
 
     /// The first stage of the write path: refill every shard's reusable
     /// routing buffer with the tick-slot indices addressed to it.  No

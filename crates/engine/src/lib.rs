@@ -53,15 +53,11 @@
 //!   whose restore-then-replay outcome is bit-identical to a
 //!   never-stopped engine.
 //! * The **telemetry plane** ([`metrics`]) — per-engine counters and
-//!   log-scale latency histograms behind the `telemetry` feature
-//!   (default on; compiled to no-ops when off), read through
+//!   log-scale latency histograms with a runtime switch
+//!   ([`Metrics::set_enabled`]), read through
 //!   [`Engine::metrics_snapshot`] as a typed [`MetricsSnapshot`], with an
 //!   optional JSON-lines trace sink ([`Engine::set_trace_sink`]).  Purely
 //!   observational: outcomes are bit-identical with telemetry on or off.
-//! * The **legacy surface** ([`legacy`]) — the historical tick entry
-//!   points (`ingest_tick` and friends), kept as one-line deprecated
-//!   wrappers over the executor, with a migration table in the module
-//!   docs.
 //!
 //! # Quick start
 //!
@@ -107,7 +103,6 @@
 
 pub mod cost;
 pub mod engine;
-pub mod legacy;
 pub mod metrics;
 pub mod op;
 pub mod query;
@@ -120,9 +115,7 @@ pub mod wire;
 pub mod wsession;
 
 pub use cost::{CostModel, PathPolicy};
-pub use engine::{
-    BatchReport, Engine, EngineConfig, SessionId, SessionKind, SessionState, TickBatch,
-};
+pub use engine::{BatchReport, Engine, EngineConfig, SessionId, SessionKind, SessionState};
 pub use metrics::{Metrics, MetricsSnapshot, TickDigest};
 pub use op::{Op, OpError, OpOutput, OpResult, ReadOutcome, ReadTick, Tick, TickOutcome};
 pub use plis_lis::DominantMaxKind;
@@ -138,6 +131,3 @@ pub use wire::{
     encode_read_tick, encode_tick, encode_tick_outcome,
 };
 pub use wsession::{WeightedIngestReport, WeightedStreamingLis};
-
-#[allow(deprecated)]
-pub use legacy::{MixedTickReport, OpReport, QueryTickReport, TickOp, TickReport};

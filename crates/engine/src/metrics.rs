@@ -10,27 +10,22 @@
 //! bit-identical with telemetry enabled or disabled, at one thread or the
 //! full pool — the determinism suite asserts this.
 //!
-//! Two switches control cost:
-//!
-//! * **Compile time** — the `telemetry` cargo feature (default on).  With
-//!   `--no-default-features` the [`Metrics`] registry is a zero-sized type
-//!   and every recording method is an empty inline function; the engine
-//!   carries no telemetry atomics at all.
-//! * **Run time** — [`Metrics::set_enabled`].  Disabled, the timer helpers
-//!   return `None` and the per-op clock reads are skipped; counter updates
-//!   (a relaxed `fetch_add` on data already in hand) are cheap enough to
-//!   leave unconditional.
+//! One switch controls cost: [`Metrics::set_enabled`].  Disabled, the
+//! timer helpers return `None`, the per-op clock reads are skipped and the
+//! tick recorders return without touching a counter.
 //!
 //! Latencies go into [`plis_telemetry::AtomicHistogram`]s (fixed log-scale
 //! buckets, ≤ 6.25 % relative error, lock-free merge), counters into
-//! [`plis_telemetry::Counter`]s.  [`MetricsSnapshot`] is *always* compiled
-//! — a telemetry-off build still hands benches a well-typed (all-zero)
-//! snapshot, so downstream wiring never needs the feature gate.
+//! [`plis_telemetry::Counter`]s.
 
-use plis_telemetry::{json_line, HistogramSnapshot, JsonValue};
+use crate::op::{OpOutput, ReadOutcome, TickOutcome};
+use crate::session::IngestPath;
+use plis_telemetry::{json_line, AtomicHistogram, Counter, HistogramSnapshot, JsonValue};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
 /// Per-tick digest of the path/delta counters derived from one
-/// [`TickOutcome`](crate::TickOutcome) — what the tick recorder just
+/// [`TickOutcome`] — what the tick recorder just
 /// added to the cumulative registry, returned so the trace sink can
 /// stamp the individual tick without re-deriving it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -59,308 +54,242 @@ pub struct TickDigest {
     pub tailset_sorted_picks: u64,
 }
 
-#[cfg(feature = "telemetry")]
-mod real {
-    use super::{MetricsSnapshot, TickDigest};
-    use crate::op::{OpOutput, ReadOutcome, TickOutcome};
-    use crate::session::IngestPath;
-    use plis_telemetry::{AtomicHistogram, Counter};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Instant;
-
-    /// Derive the path/delta digest for one executed tick by walking its
-    /// per-op reports.  Pure function of the outcome, so the trace sink
-    /// sees exactly what the registry accumulated.
-    fn digest_of(outcome: &TickOutcome) -> TickDigest {
-        let mut d = TickDigest::default();
-        for (_, result) in &outcome.outcomes {
-            let Ok(OpOutput::Appended(report)) = result else { continue };
-            match report {
-                crate::BatchReport::Unweighted(r) => match r.path {
-                    IngestPath::Sequential => d.seq_ingests += 1,
-                    IngestPath::ParallelMerge => {
-                        d.par_merge_ingests += 1;
-                        // The merge run is `tails ++ batch`.
-                        d.par_merge_elems += u64::from(r.lis_before) + r.ingested as u64;
-                        d.veb_delta_elems += (r.tail_inserts + r.tail_removals) as u64;
-                        match r.tail_store {
-                            Some(plis_lis::TailRoute::Veb) => d.tailset_veb_picks += 1,
-                            Some(plis_lis::TailRoute::SortedVec) => d.tailset_sorted_picks += 1,
-                            None => {}
-                        }
+/// Derive the path/delta digest for one executed tick by walking its
+/// per-op reports.  Pure function of the outcome, so the trace sink
+/// sees exactly what the registry accumulated.
+fn digest_of(outcome: &TickOutcome) -> TickDigest {
+    let mut d = TickDigest::default();
+    for (_, result) in &outcome.outcomes {
+        let Ok(OpOutput::Appended(report)) = result else { continue };
+        match report {
+            crate::BatchReport::Unweighted(r) => match r.path {
+                IngestPath::Sequential => d.seq_ingests += 1,
+                IngestPath::ParallelMerge => {
+                    d.par_merge_ingests += 1;
+                    // The merge run is `tails ++ batch`.
+                    d.par_merge_elems += u64::from(r.lis_before) + r.ingested as u64;
+                    d.veb_delta_elems += (r.tail_inserts + r.tail_removals) as u64;
+                    match r.tail_store {
+                        Some(plis_lis::TailRoute::Veb) => d.tailset_veb_picks += 1,
+                        Some(plis_lis::TailRoute::SortedVec) => d.tailset_sorted_picks += 1,
+                        None => {}
                     }
-                },
-                crate::BatchReport::Weighted(r) => match r.path {
-                    IngestPath::Sequential => d.seq_ingests += 1,
-                    IngestPath::ParallelMerge => {
-                        d.par_merge_ingests += 1;
-                        // The driver issues one dominant-max query per
-                        // element of the `frontier ++ batch` run, so the
-                        // query count *is* the merge size.
-                        d.par_merge_elems += r.dommax_queries;
-                        match r.dommax_used {
-                            Some(plis_lis::DominantMaxKind::RangeVeb) => d.dommax_veb_picks += 1,
-                            Some(_) => d.dommax_tree_picks += 1,
-                            None => {}
-                        }
-                    }
-                },
-            }
-        }
-        d
-    }
-
-    /// The telemetry registry: cumulative counters and latency histograms
-    /// for one [`crate::Engine`].  All updates are relaxed atomics — safe
-    /// to hit from every worker thread of a tick with no synchronization
-    /// beyond the counters themselves.
-    #[derive(Debug, Default)]
-    pub struct Metrics {
-        enabled: AtomicBool,
-        ticks: Counter,
-        read_ticks: Counter,
-        ops_appended: Counter,
-        ops_queried: Counter,
-        ops_created: Counter,
-        ops_removed: Counter,
-        ops_snapshotted: Counter,
-        ops_restored: Counter,
-        ops_failed: Counter,
-        elems_ingested: Counter,
-        queries_answered: Counter,
-        seq_ingests: Counter,
-        par_merge_ingests: Counter,
-        par_merge_elems: Counter,
-        veb_delta_elems: Counter,
-        dommax_queries: Counter,
-        dommax_writeback_elems: Counter,
-        dommax_tree_picks: Counter,
-        dommax_veb_picks: Counter,
-        tailset_veb_picks: Counter,
-        tailset_sorted_picks: Counter,
-        inline_ticks: Counter,
-        inline_read_ticks: Counter,
-        tick_ns: AtomicHistogram,
-        read_ns: AtomicHistogram,
-        op_ns: AtomicHistogram,
-    }
-
-    impl Metrics {
-        /// A fresh registry, enabled.
-        pub fn new() -> Self {
-            let m = Metrics::default();
-            m.enabled.store(true, Ordering::Relaxed);
-            m
-        }
-
-        /// Turn recording on or off at runtime.  Disabled, the timer
-        /// helpers return `None` (no clock reads on the hot path);
-        /// outcomes are unaffected either way.
-        pub fn set_enabled(&self, enabled: bool) {
-            self.enabled.store(enabled, Ordering::Relaxed);
-        }
-
-        /// Whether the registry is currently recording.
-        pub fn is_enabled(&self) -> bool {
-            self.enabled.load(Ordering::Relaxed)
-        }
-
-        /// Start a wall-clock timer, or `None` when disabled.
-        #[inline]
-        pub(crate) fn start_timer(&self) -> Option<Instant> {
-            if self.is_enabled() {
-                Some(Instant::now())
-            } else {
-                None
-            }
-        }
-
-        /// Nanoseconds since `started` (0 when the timer never started).
-        #[inline]
-        pub(crate) fn elapsed_ns(started: Option<Instant>) -> u64 {
-            started.map_or(0, |t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
-        }
-
-        /// Record one op's latency from its timer (no-op if disabled).
-        #[inline]
-        pub(crate) fn record_op_since(&self, started: Option<Instant>) {
-            if let Some(t) = started {
-                self.op_ns.record(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            }
-        }
-
-        /// Fold one executed write tick into the registry (counters from
-        /// the outcome's per-op reports, latency from `elapsed_ns`) and
-        /// return the tick's own path digest for the trace sink.
-        /// `inline` says whether the executor processed the tick on the
-        /// calling thread instead of the per-shard parallel spine.
-        pub(crate) fn record_tick(&self, outcome: &TickOutcome, inline: bool) -> TickDigest {
-            if !self.is_enabled() {
-                return TickDigest::default();
-            }
-            self.ticks.inc();
-            if inline {
-                self.inline_ticks.inc();
-            }
-            if outcome.elapsed_ns != 0 {
-                self.tick_ns.record(outcome.elapsed_ns);
-            }
-            self.elems_ingested.add(outcome.total_ingested as u64);
-            self.queries_answered.add(outcome.total_queries as u64);
-            self.ops_failed.add(outcome.failed_ops as u64);
-            for (_, result) in &outcome.outcomes {
-                match result {
-                    Ok(OpOutput::Appended(report)) => {
-                        self.ops_appended.inc();
-                        if let crate::BatchReport::Weighted(r) = report {
-                            self.dommax_queries.add(r.dommax_queries);
-                            self.dommax_writeback_elems.add(r.dommax_writeback_elems);
-                        }
-                    }
-                    Ok(OpOutput::Answered(_)) => self.ops_queried.inc(),
-                    Ok(OpOutput::Created) => self.ops_created.inc(),
-                    Ok(OpOutput::Removed) => self.ops_removed.inc(),
-                    Ok(OpOutput::Snapshotted(_)) => self.ops_snapshotted.inc(),
-                    Ok(OpOutput::Restored) => self.ops_restored.inc(),
-                    Err(_) => {}
                 }
-            }
-            let digest = digest_of(outcome);
-            self.seq_ingests.add(digest.seq_ingests);
-            self.par_merge_ingests.add(digest.par_merge_ingests);
-            self.par_merge_elems.add(digest.par_merge_elems);
-            self.veb_delta_elems.add(digest.veb_delta_elems);
-            self.dommax_tree_picks.add(digest.dommax_tree_picks);
-            self.dommax_veb_picks.add(digest.dommax_veb_picks);
-            self.tailset_veb_picks.add(digest.tailset_veb_picks);
-            self.tailset_sorted_picks.add(digest.tailset_sorted_picks);
-            digest
-        }
-
-        /// Fold one executed read tick into the registry.  `inline` as in
-        /// [`Metrics::record_tick`].
-        pub(crate) fn record_read(&self, outcome: &ReadOutcome, inline: bool) {
-            if !self.is_enabled() {
-                return;
-            }
-            self.read_ticks.inc();
-            if inline {
-                self.inline_read_ticks.inc();
-            }
-            if outcome.elapsed_ns != 0 {
-                self.read_ns.record(outcome.elapsed_ns);
-            }
-            self.queries_answered.add(outcome.total_queries as u64);
-            for (_, result) in &outcome.outcomes {
-                match result {
-                    Ok(_) => self.ops_queried.inc(),
-                    Err(_) => self.ops_failed.inc(),
+            },
+            crate::BatchReport::Weighted(r) => match r.path {
+                IngestPath::Sequential => d.seq_ingests += 1,
+                IngestPath::ParallelMerge => {
+                    d.par_merge_ingests += 1;
+                    // The driver issues one dominant-max query per
+                    // element of the `frontier ++ batch` run, so the
+                    // query count *is* the merge size.
+                    d.par_merge_elems += r.dommax_queries;
+                    match r.dommax_used {
+                        Some(plis_lis::DominantMaxKind::RangeVeb) => d.dommax_veb_picks += 1,
+                        Some(_) => d.dommax_tree_picks += 1,
+                        None => {}
+                    }
                 }
-            }
-        }
-
-        /// Cumulative totals as a plain-data snapshot.  Session/memory
-        /// fields are zero here; [`crate::Engine::metrics_snapshot`] fills
-        /// them by walking the shards.
-        pub(crate) fn counters_snapshot(&self) -> MetricsSnapshot {
-            MetricsSnapshot {
-                ticks: self.ticks.get(),
-                read_ticks: self.read_ticks.get(),
-                ops_appended: self.ops_appended.get(),
-                ops_queried: self.ops_queried.get(),
-                ops_created: self.ops_created.get(),
-                ops_removed: self.ops_removed.get(),
-                ops_snapshotted: self.ops_snapshotted.get(),
-                ops_restored: self.ops_restored.get(),
-                ops_failed: self.ops_failed.get(),
-                elems_ingested: self.elems_ingested.get(),
-                queries_answered: self.queries_answered.get(),
-                seq_ingests: self.seq_ingests.get(),
-                par_merge_ingests: self.par_merge_ingests.get(),
-                par_merge_elems: self.par_merge_elems.get(),
-                veb_delta_elems: self.veb_delta_elems.get(),
-                dommax_queries: self.dommax_queries.get(),
-                dommax_writeback_elems: self.dommax_writeback_elems.get(),
-                dommax_tree_picks: self.dommax_tree_picks.get(),
-                dommax_veb_picks: self.dommax_veb_picks.get(),
-                tailset_veb_picks: self.tailset_veb_picks.get(),
-                tailset_sorted_picks: self.tailset_sorted_picks.get(),
-                inline_ticks: self.inline_ticks.get(),
-                inline_read_ticks: self.inline_read_ticks.get(),
-                tick_latency: self.tick_ns.snapshot(),
-                read_latency: self.read_ns.snapshot(),
-                op_latency: self.op_ns.snapshot(),
-                sessions: 0,
-                session_bytes: 0,
-                shard_bytes: Vec::new(),
-                alloc_count: 0,
-                allocs_per_elem: 0,
-                arena_bytes: 0,
-            }
+            },
         }
     }
+    d
 }
 
-#[cfg(not(feature = "telemetry"))]
-mod noop {
-    use super::{MetricsSnapshot, TickDigest};
-    use crate::op::{ReadOutcome, TickOutcome};
-    use std::time::Instant;
+/// The telemetry registry: cumulative counters and latency histograms
+/// for one [`crate::Engine`].  All updates are relaxed atomics — safe
+/// to hit from every worker thread of a tick with no synchronization
+/// beyond the counters themselves.
+#[derive(Debug, Default)]
+pub struct Metrics {
+    enabled: AtomicBool,
+    ticks: Counter,
+    read_ticks: Counter,
+    ops_appended: Counter,
+    ops_queried: Counter,
+    ops_created: Counter,
+    ops_removed: Counter,
+    ops_snapshotted: Counter,
+    ops_restored: Counter,
+    ops_failed: Counter,
+    elems_ingested: Counter,
+    queries_answered: Counter,
+    seq_ingests: Counter,
+    par_merge_ingests: Counter,
+    par_merge_elems: Counter,
+    veb_delta_elems: Counter,
+    dommax_queries: Counter,
+    dommax_writeback_elems: Counter,
+    dommax_tree_picks: Counter,
+    dommax_veb_picks: Counter,
+    tailset_veb_picks: Counter,
+    tailset_sorted_picks: Counter,
+    inline_ticks: Counter,
+    inline_read_ticks: Counter,
+    tick_ns: AtomicHistogram,
+    read_ns: AtomicHistogram,
+    op_ns: AtomicHistogram,
+}
 
-    /// The no-op registry compiled when the `telemetry` feature is off:
-    /// zero-sized, every method an empty inline function.
-    #[derive(Debug, Default)]
-    pub struct Metrics;
+impl Metrics {
+    /// A fresh registry, enabled.
+    pub fn new() -> Self {
+        let m = Metrics::default();
+        m.enabled.store(true, Ordering::Relaxed);
+        m
+    }
 
-    impl Metrics {
-        /// A fresh (inert) registry.
-        pub fn new() -> Self {
-            Metrics
-        }
+    /// Turn recording on or off at runtime.  Disabled, the timer
+    /// helpers return `None` (no clock reads on the hot path);
+    /// outcomes are unaffected either way.
+    pub fn set_enabled(&self, enabled: bool) {
+        self.enabled.store(enabled, Ordering::Relaxed);
+    }
 
-        /// No-op; the feature-off registry never records.
-        pub fn set_enabled(&self, _enabled: bool) {}
+    /// Whether the registry is currently recording.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
 
-        /// Always `false` without the `telemetry` feature.
-        pub fn is_enabled(&self) -> bool {
-            false
-        }
-
-        #[inline]
-        pub(crate) fn start_timer(&self) -> Option<Instant> {
+    /// Start a wall-clock timer, or `None` when disabled.
+    #[inline]
+    pub(crate) fn start_timer(&self) -> Option<Instant> {
+        if self.is_enabled() {
+            Some(Instant::now())
+        } else {
             None
         }
+    }
 
-        #[inline]
-        pub(crate) fn elapsed_ns(_started: Option<Instant>) -> u64 {
-            0
+    /// Nanoseconds since `started` (0 when the timer never started).
+    #[inline]
+    pub(crate) fn elapsed_ns(started: Option<Instant>) -> u64 {
+        started.map_or(0, |t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
+    }
+
+    /// Record one op's latency from its timer (no-op if disabled).
+    #[inline]
+    pub(crate) fn record_op_since(&self, started: Option<Instant>) {
+        if let Some(t) = started {
+            self.op_ns.record(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
+    }
 
-        #[inline]
-        pub(crate) fn record_op_since(&self, _started: Option<Instant>) {}
-
-        pub(crate) fn record_tick(&self, _outcome: &TickOutcome, _inline: bool) -> TickDigest {
-            TickDigest::default()
+    /// Fold one executed write tick into the registry (counters from
+    /// the outcome's per-op reports, latency from `elapsed_ns`) and
+    /// return the tick's own path digest for the trace sink.
+    /// `inline` says whether the executor processed the tick on the
+    /// calling thread instead of the per-shard parallel spine.
+    pub(crate) fn record_tick(&self, outcome: &TickOutcome, inline: bool) -> TickDigest {
+        if !self.is_enabled() {
+            return TickDigest::default();
         }
+        self.ticks.inc();
+        if inline {
+            self.inline_ticks.inc();
+        }
+        if outcome.elapsed_ns != 0 {
+            self.tick_ns.record(outcome.elapsed_ns);
+        }
+        self.elems_ingested.add(outcome.total_ingested as u64);
+        self.queries_answered.add(outcome.total_queries as u64);
+        self.ops_failed.add(outcome.failed_ops as u64);
+        for (_, result) in &outcome.outcomes {
+            match result {
+                Ok(OpOutput::Appended(report)) => {
+                    self.ops_appended.inc();
+                    if let crate::BatchReport::Weighted(r) = report {
+                        self.dommax_queries.add(r.dommax_queries);
+                        self.dommax_writeback_elems.add(r.dommax_writeback_elems);
+                    }
+                }
+                Ok(OpOutput::Answered(_)) => self.ops_queried.inc(),
+                Ok(OpOutput::Created) => self.ops_created.inc(),
+                Ok(OpOutput::Removed) => self.ops_removed.inc(),
+                Ok(OpOutput::Snapshotted(_)) => self.ops_snapshotted.inc(),
+                Ok(OpOutput::Restored) => self.ops_restored.inc(),
+                Err(_) => {}
+            }
+        }
+        let digest = digest_of(outcome);
+        self.seq_ingests.add(digest.seq_ingests);
+        self.par_merge_ingests.add(digest.par_merge_ingests);
+        self.par_merge_elems.add(digest.par_merge_elems);
+        self.veb_delta_elems.add(digest.veb_delta_elems);
+        self.dommax_tree_picks.add(digest.dommax_tree_picks);
+        self.dommax_veb_picks.add(digest.dommax_veb_picks);
+        self.tailset_veb_picks.add(digest.tailset_veb_picks);
+        self.tailset_sorted_picks.add(digest.tailset_sorted_picks);
+        digest
+    }
 
-        pub(crate) fn record_read(&self, _outcome: &ReadOutcome, _inline: bool) {}
+    /// Fold one executed read tick into the registry.  `inline` as in
+    /// [`Metrics::record_tick`].
+    pub(crate) fn record_read(&self, outcome: &ReadOutcome, inline: bool) {
+        if !self.is_enabled() {
+            return;
+        }
+        self.read_ticks.inc();
+        if inline {
+            self.inline_read_ticks.inc();
+        }
+        if outcome.elapsed_ns != 0 {
+            self.read_ns.record(outcome.elapsed_ns);
+        }
+        self.queries_answered.add(outcome.total_queries as u64);
+        for (_, result) in &outcome.outcomes {
+            match result {
+                Ok(_) => self.ops_queried.inc(),
+                Err(_) => self.ops_failed.inc(),
+            }
+        }
+    }
 
-        pub(crate) fn counters_snapshot(&self) -> MetricsSnapshot {
-            MetricsSnapshot::default()
+    /// Cumulative totals as a plain-data snapshot.  Session/memory
+    /// fields are zero here; [`crate::Engine::metrics_snapshot`] fills
+    /// them by walking the shards.
+    pub(crate) fn counters_snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            ticks: self.ticks.get(),
+            read_ticks: self.read_ticks.get(),
+            ops_appended: self.ops_appended.get(),
+            ops_queried: self.ops_queried.get(),
+            ops_created: self.ops_created.get(),
+            ops_removed: self.ops_removed.get(),
+            ops_snapshotted: self.ops_snapshotted.get(),
+            ops_restored: self.ops_restored.get(),
+            ops_failed: self.ops_failed.get(),
+            elems_ingested: self.elems_ingested.get(),
+            queries_answered: self.queries_answered.get(),
+            seq_ingests: self.seq_ingests.get(),
+            par_merge_ingests: self.par_merge_ingests.get(),
+            par_merge_elems: self.par_merge_elems.get(),
+            veb_delta_elems: self.veb_delta_elems.get(),
+            dommax_queries: self.dommax_queries.get(),
+            dommax_writeback_elems: self.dommax_writeback_elems.get(),
+            dommax_tree_picks: self.dommax_tree_picks.get(),
+            dommax_veb_picks: self.dommax_veb_picks.get(),
+            tailset_veb_picks: self.tailset_veb_picks.get(),
+            tailset_sorted_picks: self.tailset_sorted_picks.get(),
+            inline_ticks: self.inline_ticks.get(),
+            inline_read_ticks: self.inline_read_ticks.get(),
+            tick_latency: self.tick_ns.snapshot(),
+            read_latency: self.read_ns.snapshot(),
+            op_latency: self.op_ns.snapshot(),
+            sessions: 0,
+            session_bytes: 0,
+            shard_bytes: Vec::new(),
+            alloc_count: 0,
+            allocs_per_elem: 0,
+            arena_bytes: 0,
         }
     }
 }
-
-#[cfg(feature = "telemetry")]
-pub use real::Metrics;
-
-#[cfg(not(feature = "telemetry"))]
-pub use noop::Metrics;
 
 /// A point-in-time copy of the whole telemetry plane: cumulative counters,
 /// latency histograms, and the per-shard memory accounting the engine
-/// fills in at snapshot time.  Plain data — always compiled, `Clone`,
-/// comparable, and serializable to the workspace's hand-rolled JSON.
+/// fills in at snapshot time.  Plain data — `Clone`, comparable, and
+/// serializable to the workspace's hand-rolled JSON.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Write ticks executed ([`crate::Engine::execute`]).

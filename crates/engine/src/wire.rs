@@ -594,9 +594,8 @@ fn decode_batch_report(r: &mut Reader<'_>) -> Result<BatchReport, SnapshotError>
 
 fn encode_query_report(out: &mut Vec<u8>, report: &QueryReport) {
     out.push(match report.kind {
-        None => 0,
-        Some(SessionKind::Unweighted) => 1,
-        Some(SessionKind::Weighted) => 2,
+        SessionKind::Unweighted => 1,
+        SessionKind::Weighted => 2,
     });
     put_u64(out, report.answers.len() as u64);
     for answer in &report.answers {
@@ -637,9 +636,8 @@ fn encode_query_report(out: &mut Vec<u8>, report: &QueryReport) {
 
 fn decode_query_report(r: &mut Reader<'_>) -> Result<QueryReport, SnapshotError> {
     let kind = match r.u8()? {
-        0 => None,
-        1 => Some(SessionKind::Unweighted),
-        2 => Some(SessionKind::Weighted),
+        1 => SessionKind::Unweighted,
+        2 => SessionKind::Weighted,
         _ => return Err(SnapshotError::Malformed("unknown session kind byte")),
     };
     let n = r.len(1)?;
@@ -918,6 +916,45 @@ mod tests {
         assert_eq!(decoded.worker_threads, 2);
         assert_eq!(decoded.elapsed_ns, 777);
         assert_eq!(decoded.sessions_missing, 1);
+    }
+
+    #[test]
+    fn query_report_kind_bytes_are_pinned() {
+        let report = |kind| QueryReport { kind, answers: vec![QueryAnswer::Count(3)] };
+        for (kind, byte) in [(SessionKind::Unweighted, 1u8), (SessionKind::Weighted, 2)] {
+            let mut out = Vec::new();
+            encode_query_report(&mut out, &report(kind));
+            // kind, answer count (u64 LE), answer tag, count (u64 LE).
+            let expected = [&[byte][..], &1u64.to_le_bytes(), &[1], &3u64.to_le_bytes()].concat();
+            assert_eq!(out, expected);
+            assert_eq!(decode_query_report(&mut Reader::new(&out)), Ok(report(kind)));
+        }
+    }
+
+    #[test]
+    fn query_report_kind_byte_zero_is_malformed() {
+        // A correctly sealed read outcome with one answered slot whose
+        // report carries kind byte 0: the checksum passes, the decode
+        // must still reject it.
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 1);
+        put_str(&mut payload, "s");
+        payload.push(0); // result tag: answered
+        payload.push(0); // query-report kind byte
+        put_u64(&mut payload, 0); // no answers
+        put_u64(&mut payload, 1); // worker_threads
+        put_u64(&mut payload, 0); // elapsed_ns
+        let sealed = seal(PAYLOAD_READ_OUTCOME, &payload);
+        assert_eq!(
+            decode_read_outcome(&sealed),
+            Err(SnapshotError::Malformed("unknown session kind byte"))
+        );
+        // The same bytes with kind byte 1 decode, so the kind byte alone
+        // is what fails.
+        let kind_at = 8 + 8 + 1 + 1;
+        payload[kind_at] = 1;
+        let outcome = decode_read_outcome(&seal(PAYLOAD_READ_OUTCOME, &payload)).unwrap();
+        assert_eq!(outcome.outcomes[0].1.as_ref().unwrap().kind, SessionKind::Unweighted);
     }
 
     #[test]

@@ -11,11 +11,6 @@
 //! 3. **Histogram semantics** — merge is associative and the percentile
 //!    bounds hold on known inputs (the engine-facing complement of the
 //!    unit tests inside `plis-telemetry`).
-//!
-//! The whole file is gated on the `telemetry` feature: a
-//! `--no-default-features` build compiles it to nothing (the no-op plane
-//! has nothing to reconcile), which CI exercises separately.
-#![cfg(feature = "telemetry")]
 
 use plis_engine::{
     Backend, Engine, EngineConfig, MemorySink, PathPolicy, Query, ReadTick, SessionId, SessionKind,

@@ -29,8 +29,6 @@ use std::io::{self, Write};
 /// reuses the journal's exact frame layout (see [`encode_frame_header`]).
 pub const FRAME_HEADER_BYTES: usize = 4 + 8;
 
-const HEADER_BYTES: usize = FRAME_HEADER_BYTES;
-
 /// Build the `[payload_len: u32][crc64(payload): u64]` header that frames
 /// `payload`, both in the journal and on the service plane's sockets —
 /// one frame layout, one implementation.
@@ -177,10 +175,10 @@ pub struct JournalContents<'a> {
 pub fn read_journal(bytes: &[u8]) -> Result<JournalContents<'_>, JournalCorrupt> {
     let mut records = Vec::new();
     let mut pos = 0usize;
-    while bytes.len() - pos >= HEADER_BYTES {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u64::from_le_bytes(bytes[pos + 4..pos + HEADER_BYTES].try_into().unwrap());
-        let start = pos + HEADER_BYTES;
+    while let Some(header) = bytes[pos..].first_chunk::<FRAME_HEADER_BYTES>() {
+        let (len, crc) = decode_frame_header(header);
+        let len = len as usize;
+        let start = pos + FRAME_HEADER_BYTES;
         if bytes.len() - start < len {
             return Ok(JournalContents {
                 records,
@@ -236,7 +234,7 @@ mod tests {
         let bytes = w.into_inner();
         // Cut the stream at every byte length: the intact prefix must
         // always parse, and the tail must be classified correctly.
-        let first_frame = HEADER_BYTES + 5;
+        let first_frame = FRAME_HEADER_BYTES + 5;
         for cut in 0..bytes.len() {
             let contents = read_journal(&bytes[..cut]).unwrap();
             if cut < first_frame {
@@ -256,7 +254,7 @@ mod tests {
         w.append(b"second").unwrap();
         let mut bytes = w.into_inner();
         // Flip a payload byte of the first record.
-        bytes[HEADER_BYTES] ^= 0x01;
+        bytes[FRAME_HEADER_BYTES] ^= 0x01;
         assert_eq!(read_journal(&bytes), Err(JournalCorrupt { record: 0 }));
     }
 }
